@@ -11,9 +11,15 @@ preset; the saturation ablation runs the registered
 ``ablation-saturation`` sweep).  The hardware-energy benches (Tables
 IV-VI) run at the paper's full width since they need no training; the
 constants below are the paper's own bit/channel vectors they evaluate.
+
+It also holds :func:`bench_record_path`, where the wall-clock benches
+write their ``BENCH_*.json`` record.
 """
 
 from __future__ import annotations
+
+import os
+from pathlib import Path
 
 # Table II(a) iteration 2 bit-widths for VGG19/CIFAR-10 (17 layers).
 PAPER_VGG19_BITS_ITER2 = [16, 4, 5, 4, 3, 2, 2, 2, 3, 3, 3, 4, 3, 3, 3, 3, 16]
@@ -43,3 +49,16 @@ PAPER_TABLE_VI = {
     "VGG19/CIFAR-10": {"pruned_uj": 0.558, "full_uj": 110.154, "reduction": 197.55},
     "ResNet18/CIFAR-100": {"pruned_uj": 3.630, "full_uj": 159.501, "reduction": 43.941},
 }
+
+
+def bench_record_path(tmp_path: Path, default_name: str) -> Path:
+    """Where a wall-clock bench writes its record.
+
+    ``tmp_path / default_name`` unless ``REPRO_BENCH_OUT`` names a file
+    (resolved against the repo root), so a tier-1 run never rewrites the
+    committed ``BENCH_*.json`` records.
+    """
+    name = os.environ.get("REPRO_BENCH_OUT")
+    if not name:
+        return tmp_path / default_name
+    return Path(__file__).resolve().parents[1] / name

@@ -15,8 +15,9 @@ configurations from the same seeds:
 
 Each leg is timed ``REPRO_BENCH_REPEATS`` times (the host is shared, so
 the *minimum* is the honest cost of the code) and the measured triple
-is written to ``REPRO_BENCH_OUT`` (default ``BENCH_PR10.json``) at the
-repo root — the recorded file is the PR's performance claim.  The test
+is written to a temp file, or to ``REPRO_BENCH_OUT`` (resolved against
+the repo root) when set — ``REPRO_BENCH_OUT=BENCH_PR10.json`` rewrites
+the committed record of the PR's performance claim.  The test
 fails if fusion drops under 1.2x over the pre-fusion fast path or 5x
 over the reference.
 
@@ -28,10 +29,11 @@ not a win.
 import json
 import os
 import time
-from pathlib import Path
 
 from repro.api import experiments
 from repro.backend import use_fusion
+
+from common import bench_record_path
 
 WORKLOAD = {
     "preset": "vgg19-cifar10-quant",
@@ -47,11 +49,6 @@ PR8_DISABLED_KERNELS = (
     "im2col,col2im,batchnorm_train_fwd,batchnorm_eval_fwd,batchnorm_bwd,"
     "adam_update,maxpool_fwd,maxpool_bwd"
 )
-
-
-def _bench_path() -> Path:
-    name = os.environ.get("REPRO_BENCH_OUT", "BENCH_PR10.json")
-    return Path(__file__).resolve().parents[1] / name
 
 
 def _trial(backend: str):
@@ -87,7 +84,7 @@ def _pr8_trial():
                 os.environ[key] = value
 
 
-def test_fused_fast_backend_speedup_on_bench_trial():
+def test_fused_fast_backend_speedup_on_bench_trial(tmp_path):
     repeats = max(1, int(os.environ.get("REPRO_BENCH_REPEATS", "2")))
     _trial("fast")  # warmup: kernel builds, allocator growth, BLAS init
     fused_times, pr8_times, reference_times = [], [], []
@@ -104,7 +101,7 @@ def test_fused_fast_backend_speedup_on_bench_trial():
     fused_over_pr8 = pr8_seconds / fused_seconds
     fused_over_reference = reference_seconds / fused_seconds
 
-    bench_path = _bench_path()
+    bench_path = bench_record_path(tmp_path, "BENCH_PR10.json")
     payload = {
         "workload": WORKLOAD,
         "repeats": repeats,
@@ -126,7 +123,7 @@ def test_fused_fast_backend_speedup_on_bench_trial():
     print(f"fused fast: {fused_seconds:6.2f}s  (acc {fused_accuracy:.3f})")
     print(f"fused/pr8:  {fused_over_pr8:.2f}x   "
           f"fused/reference: {fused_over_reference:.2f}x  "
-          f"-> {bench_path.name}")
+          f"-> {bench_path}")
 
     assert abs(fused_accuracy - reference_accuracy) <= 0.15
     assert abs(pr8_accuracy - reference_accuracy) <= 0.15

@@ -11,7 +11,7 @@ From-scratch reproduction of Vasquez, Venkatesha et al., DATE 2021
 `models`       instrumented VGG11/16/19 and ResNet18
 `quant`        eqn-1 quantizer, STE fake-quant, plans, hw snapping
 `density`      AD metric (eqn 2), monitoring, saturation detection
-`core`         Algorithm 1, AD pruning (eqn 5), eqn-4 complexity, runner
+`core`         Algorithm 1, AD pruning (eqn 5), eqn-4 complexity, reports
 `energy`       analytical energy model (Table I)
 `pim`          functional PIM accelerator + Table IV energy model
 `data`         synthetic CIFAR/TinyImageNet stand-ins, loaders
@@ -24,9 +24,10 @@ The most common entry points:
 >>> from repro.api import experiments
 >>> report = experiments.build("vgg19-cifar10-quant").run()
 
-or the original imperative harness (a façade over the same pipeline):
+or, over hand-built objects, an explicit context and pipeline:
 
->>> from repro.core import ExperimentRunner, QuantizationSchedule
+>>> from repro.api import ExperimentContext, Pipeline, QuantizeStage
+>>> report = Pipeline([QuantizeStage()]).run(ExperimentContext(...))
 """
 
 __version__ = "1.1.0"

@@ -85,8 +85,8 @@ class Experiment:
         (use ``pipeline.add_callback`` for permanent observers).
 
         Each call restarts the experiment — fresh report, baseline and
-        complexity state — while trained weights persist on the model
-        (same contract as ``ExperimentRunner.run``).
+        complexity state, initial plan re-applied — while trained
+        weights persist on the model.
         """
         from repro.backend import set_active_backend
 
@@ -102,7 +102,7 @@ class Experiment:
         finally:
             self.pipeline.callbacks = persistent
 
-    # Convenience accessors mirroring the old runner attributes.
+    # Convenience accessors onto the context.
     @property
     def model(self):
         return self.context.model

@@ -2,8 +2,8 @@
 
 These are the paper's one-off report variants that do not fit the
 stage-per-phase shape — currently the Table II row-2a manoeuvre of
-removing a dead layer and retraining.  Both the pipeline API and the
-:class:`~repro.core.runner.ExperimentRunner` façade share this code.
+removing a dead layer and retraining.  Each runs on a context a
+pipeline has already driven.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ def remove_layer_and_retrain(
 
     Only layers whose removal preserves tensor shapes (equal in/out
     channels) can be removed; the unit is disabled in place.  Requires a
-    prepared context (i.e. after a pipeline / ``run()`` has executed).
+    prepared context, i.e. one a :class:`~repro.api.pipeline.Pipeline`
+    has already run.
     """
     if not ctx.prepared or ctx.complexity is None or ctx.baseline_profiles is None:
         raise RuntimeError(

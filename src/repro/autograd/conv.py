@@ -11,12 +11,7 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor
 from repro.backend import active_backend, fusion_enabled
-from repro.backend._im2col import conv_output_size, im2col_indices
-
-
-def _im2col_indices(height, width, kernel, stride, padding):
-    """Index arrays that gather conv patches into a matrix."""
-    return im2col_indices(height, width, kernel, stride, padding)
+from repro.backend._im2col import conv_output_size
 
 
 def im2col(x: np.ndarray, kernel: int, stride: int, padding: int):

@@ -3,7 +3,7 @@
 Every kernel here reproduces the exact operation order the engine used
 before the backend seam existed.  Floating-point arithmetic is
 deterministic given identical operand order, so "same ops, same order"
-is a bit-identity guarantee — the façade/regression suites pin it.
+is a bit-identity guarantee — the regression suites pin it.
 Do not "optimize" this file; that is what :mod:`repro.backend.fast`
 is for.
 """

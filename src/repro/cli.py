@@ -121,16 +121,26 @@ def _graceful_interrupt():
             signal.signal(signum, handler)
 
 
+def _stderr_log(kind: str = ""):
+    """A printer of ``[repro <kind> +<elapsed>s] message`` lines on stderr.
+
+    The clock starts when the printer is made; an empty ``kind`` prints
+    plain ``[repro +...]`` lines.
+    """
+    tag = f"repro {kind}" if kind else "repro"
+    t0 = time.time()
+
+    def log(message: str) -> None:
+        print(f"[{tag} +{time.time() - t0:7.1f}s] {message}", file=sys.stderr)
+
+    return log
+
+
 class _ProgressCallback(PipelineCallback):
     """Human-readable progress on stderr (silenced by --quiet)."""
 
-    def __init__(self, stream):
-        self.stream = stream
-        self._t0 = time.time()
-
-    def _log(self, message: str) -> None:
-        elapsed = time.time() - self._t0
-        print(f"[repro +{elapsed:7.1f}s] {message}", file=self.stream)
+    def __init__(self):
+        self._log = _stderr_log()
 
     def on_pipeline_start(self, ctx):
         self._log(
@@ -277,7 +287,7 @@ def _cmd_run(args) -> int:
     pipeline = experiment.pipeline
     if args.out:
         pipeline.stages.append(ExportStage(args.out, format=args.format))
-    callbacks = [] if args.quiet else [_ProgressCallback(sys.stderr)]
+    callbacks = [] if args.quiet else [_ProgressCallback()]
 
     if args.checkpoint:
         from repro.orchestration import CheckpointCallback
@@ -520,16 +530,9 @@ def _cmd_sweep(args) -> int:
             raise CLIError(_clean_message(error)) from error
         points = shard_points(points, shard)
     cache = ResultCache(args.cache_dir) if args.cache else None
-    progress = None
-    if not args.quiet:
-        t0 = time.time()
-
-        def progress(message):
-            print(f"[repro sweep +{time.time() - t0:7.1f}s] {message}",
-                  file=sys.stderr)
-
-        if shard is not None:
-            progress(f"shard {shard}: {len(points)} of the sweep's points")
+    progress = None if args.quiet else _stderr_log("sweep")
+    if progress is not None and shard is not None:
+        progress(f"shard {shard}: {len(points)} of the sweep's points")
     stream = None
     if args.out:
         stream = _SweepOutStream(args.out, sweep.name, points,
@@ -704,14 +707,7 @@ def _cmd_search(args) -> int:
     except (KeyError, TypeError, ValueError) as error:
         raise CLIError(_clean_message(error)) from error
     cache = ResultCache(args.cache_dir) if args.cache else None
-    progress = None
-    if not args.quiet:
-        t0 = time.time()
-
-        def progress(message):
-            print(f"[repro search +{time.time() - t0:7.1f}s] {message}",
-                  file=sys.stderr)
-
+    progress = None if args.quiet else _stderr_log("search")
     stream = None
     if args.out:
         stream = _SearchOutStream(args.out, search, scheduler)
@@ -845,14 +841,7 @@ def _cmd_master(args) -> int:
 
     if args.jobs < 1:
         raise CLIError("--jobs must be >= 1")
-    log = None
-    if not args.quiet:
-        t0 = time.time()
-
-        def log(message):
-            print(f"[repro master +{time.time() - t0:7.1f}s] {message}",
-                  file=sys.stderr)
-
+    log = None if args.quiet else _stderr_log("master")
     try:
         master = Master(
             socket_path=args.socket, jobs=args.jobs,
@@ -938,25 +927,22 @@ def _cmd_status(args) -> int:
 def _cmd_watch(args) -> int:
     from repro.service.client import MasterError
 
-    t0 = time.time()
+    log = _stderr_log("watch")
 
     def narrate(message):
         if args.quiet:
             return
         name = message.get("event")
         data = message.get("data") or {}
-        prefix = f"[repro watch +{time.time() - t0:7.1f}s]"
         if name == "schedule":
-            print(f"{prefix} scheduled {len(data.get('points', []))} "
-                  f"point(s) ({data.get('total')} total)", file=sys.stderr)
+            log(f"scheduled {len(data.get('points', []))} "
+                f"point(s) ({data.get('total')} total)")
         elif name == "point":
-            print(f"{prefix} {data.get('status', '?'):8s} "
-                  f"{data.get('label', '?')} "
-                  f"({data.get('duration') or 0:.1f}s)", file=sys.stderr)
+            log(f"{data.get('status', '?'):8s} {data.get('label', '?')} "
+                f"({data.get('duration') or 0:.1f}s)")
         elif name == "state":
             note = " (resumed)" if data.get("resumed") else ""
-            print(f"{prefix} job {message.get('job')} -> "
-                  f"{data.get('state', '?')}{note}", file=sys.stderr)
+            log(f"job {message.get('job')} -> {data.get('state', '?')}{note}")
 
     with _service_client(args) as client:
         try:

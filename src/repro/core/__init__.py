@@ -8,8 +8,13 @@
 * :class:`~repro.core.ad_prune.ADPruner` — AD-based channel pruning
   (eqn. 5), composable with quantization (Table III).
 * :class:`~repro.core.complexity.TrainingComplexity` — eqn. 4 metric.
-* :class:`~repro.core.runner.ExperimentRunner` — end-to-end harness
-  producing rows shaped like the paper's Tables II and III.
+* :class:`~repro.core.report.ExperimentReport` /
+  :class:`~repro.core.report.TableRow` — rows shaped like the paper's
+  Tables II and III.
+
+Experiments are assembled and run by :mod:`repro.api`: an
+:class:`~repro.api.context.ExperimentContext` driven by a
+:class:`~repro.api.pipeline.Pipeline` of stages.
 """
 
 from repro.core.ad_prune import ADPruner, PruningPlan
@@ -22,7 +27,7 @@ from repro.core.export import (
     save_report_csv,
     save_report_json,
 )
-from repro.core.runner import ExperimentReport, ExperimentRunner, TableRow
+from repro.core.report import ExperimentReport, TableRow
 from repro.core.trainer import EpochStats, Trainer
 
 __all__ = [
@@ -34,7 +39,6 @@ __all__ = [
     "ADPruner",
     "PruningPlan",
     "TrainingComplexity",
-    "ExperimentRunner",
     "ExperimentReport",
     "TableRow",
     "report_to_dict",

@@ -1,12 +1,10 @@
-"""Façade equivalence: ExperimentRunner == config-built Pipeline.
+"""Experiment-level contracts on a config-built context.
 
-The runner is a thin façade over the pipeline API; under a fixed seed
-both entry points must produce *identical* TableRows.  Also covers the
-satellite fixes: the pre-run RuntimeError guard and the deprecation shim
-for the old private training method.
+Covers restarting an experiment, the Table II row-2a pre-run
+RuntimeError guard, and the public ``train_until_saturation`` spelling
+(the deprecation shim for the old private training method is gone).
 """
 
-import numpy as np
 import pytest
 
 from repro.api import (
@@ -14,21 +12,17 @@ from repro.api import (
     ExperimentConfig,
     ModelConfig,
     Pipeline,
-    PruneConfig,
     QuantConfig,
     QuantizeStage,
     build_context,
+    experiments,
+    remove_layer_and_retrain,
 )
-from repro.core import ExperimentRunner
-from repro.data import DataLoader
-from repro.data.synthetic import SyntheticCIFAR10
-from repro.models import vgg11
-from repro.nn import Adam, CrossEntropyLoss
 
 
-def micro_config(prune: bool = False) -> ExperimentConfig:
+def micro_config() -> ExperimentConfig:
     return ExperimentConfig(
-        name="equivalence",
+        name="micro",
         architecture="VGG11",
         dataset="SyntheticCIFAR10",
         model=ModelConfig(arch="vgg11", num_classes=10, width_multiplier=0.0625,
@@ -39,90 +33,38 @@ def micro_config(prune: bool = False) -> ExperimentConfig:
         quant=QuantConfig(max_iterations=3, max_epochs_per_iteration=2,
                           min_epochs_per_iteration=1, saturation_window=2,
                           saturation_tolerance=0.5),
-        prune=PruneConfig(enabled=prune),
     )
 
 
-def build_runner(config: ExperimentConfig) -> ExperimentRunner:
-    """Hand-wire the same workload the config describes (legacy style)."""
-    data = config.data
-    rng = np.random.default_rng(data.seed)
-    train_set, test_set = SyntheticCIFAR10(
-        train_per_class=data.train_per_class,
-        test_per_class=data.test_per_class,
-        image_size=data.image_size,
-        noise=data.noise,
-        seed=data.seed,
-    )
-    model = vgg11(
-        num_classes=config.model.num_classes,
-        width_multiplier=config.model.width_multiplier,
-        image_size=config.model.image_size,
-        rng=np.random.default_rng(config.model.seed),
-    )
-    return ExperimentRunner(
-        model,
-        DataLoader(train_set, batch_size=data.train_batch_size, shuffle=True, rng=rng),
-        DataLoader(test_set, batch_size=data.test_batch_size),
-        Adam(model.parameters(), lr=config.lr),
-        CrossEntropyLoss(),
-        input_shape=config.input_shape,
-        schedule=config.quant.to_schedule(),
-        saturation=config.quant.to_saturation(),
-        prune=config.prune.enabled,
-        architecture=config.architecture,
-        dataset=config.dataset,
-    )
-
-
-class TestFacadeEquivalence:
-    @pytest.mark.parametrize("prune", [False, True])
-    def test_runner_and_pipeline_rows_identical(self, prune):
-        config = micro_config(prune=prune)
-        runner_report = build_runner(config).run()
-        pipeline_report = Pipeline([QuantizeStage()]).run(build_context(config))
-        assert runner_report.rows == pipeline_report.rows
-        assert runner_report.layer_names == pipeline_report.layer_names
-
+class TestRestart:
     def test_run_twice_restarts_the_experiment(self):
-        runner = build_runner(micro_config())
-        first = runner.run()
-        second = runner.run()
-        # Pre-façade contract: each run() returns a fresh report (the
-        # initial plan is re-applied; trained weights persist).
+        experiment = experiments.Experiment(micro_config())
+        first = experiment.run()
+        second = experiment.run()
+        # Each run() returns a fresh report (the initial plan is
+        # re-applied; trained weights persist).
         assert second is not first
-        assert len(second.rows) <= runner.schedule.max_iterations
+        assert len(second.rows) <= experiment.context.schedule.max_iterations
         assert second.rows[0].bit_widths == first.rows[0].bit_widths
         assert second.rows[0].energy_efficiency == 1.0
-
-    def test_runner_exposes_context_state(self):
-        config = micro_config()
-        runner = build_runner(config)
-        report = runner.run()
-        # Legacy attribute surface still works (tests/examples rely on it).
-        assert runner.quantizer.plan.bit_widths() == report.rows[-1].bit_widths
-        assert runner._complexity is runner.ctx.complexity
-        assert runner._baseline_profiles is runner.ctx.baseline_profiles
-        assert runner.trainer is runner.ctx.trainer
-        assert runner.schedule.max_iterations == 3
 
 
 class TestPreRunGuard:
     def test_remove_layer_before_run_raises_runtime_error(self):
-        runner = build_runner(micro_config())
+        ctx = build_context(micro_config())
         with pytest.raises(RuntimeError, match="run\\(\\) must be called first"):
-            runner.remove_layer_and_retrain("conv2", epochs=1)
+            remove_layer_and_retrain(ctx, "conv2", epochs=1)
 
     def test_remove_layer_after_run_works(self):
-        runner = build_runner(micro_config())
-        runner.run()
+        ctx = build_context(micro_config())
+        Pipeline([QuantizeStage()]).run(ctx)
         # conv2 of VGG11 maps 128->128 at this scale: shape-preserving.
-        handles = runner.model.layer_handles()
+        handles = ctx.model.layer_handles()
         name = next(
             h.name for h in handles
             if h.is_conv and h.unit.conv.in_channels == h.unit.conv.out_channels
         )
-        row = runner.remove_layer_and_retrain(name, epochs=1)
+        row = remove_layer_and_retrain(ctx, name, epochs=1)
         assert row.label == "2a"
         assert len(row.bit_widths) == len(handles) - 1
 
@@ -131,11 +73,9 @@ class TestPublicTrainUntilSaturation:
     def test_public_name_is_the_api(self):
         # The deprecation shim for the old `_`-prefixed name is gone;
         # the public method is the only spelling.
-        runner = build_runner(micro_config())
-        runner.ctx.prepare()
-        assert not hasattr(runner.quantizer, "_train_until_saturation")
-        epochs, accuracy = runner.quantizer.train_until_saturation(
-            runner.train_loader
-        )
+        ctx = build_context(micro_config())
+        ctx.prepare()
+        assert not hasattr(ctx.quantizer, "_train_until_saturation")
+        epochs, accuracy = ctx.quantizer.train_until_saturation(ctx.train_loader)
         assert epochs >= 1
         assert 0.0 <= accuracy <= 1.0

@@ -1,6 +1,6 @@
 """Fused elementwise-kernel contract tests.
 
-Three guarantees, one file:
+Four guarantees, one file:
 
 1. on the **reference** backend every fused chain is *bit-identical* to
    the per-primitive seed graph it replaced (``use_fusion(False)`` keeps
@@ -11,7 +11,9 @@ Three guarantees, one file:
    (hypothesis-driven differential tests);
 3. fused chains save only their minimal backward residual — the
    log-softmax closure no longer pins the softmax matrix for the
-   graph's lifetime — and the per-iteration graph gets smaller.
+   graph's lifetime — and the per-iteration graph gets smaller;
+4. the fast backend's numpy fallbacks, which define its semantics,
+   agree with the compiled C kernels op by op.
 """
 
 import gc
@@ -27,10 +29,12 @@ from repro.autograd.conv import max_pool2d
 from repro.autograd.functional import (cross_entropy, dropout, log_softmax,
                                        softmax)
 from repro.autograd.gradcheck import grad_check
-from repro.backend import active_backend, use_backend, use_fusion
+from repro.backend import _ckernels, active_backend, use_backend, use_fusion
+from repro.backend.fast import FastBackend
 from repro.nn.layers import BatchNorm2d, Linear
 from repro.nn.loss import CrossEntropyLoss, MSELoss
 from repro.nn.optim import SGD
+from repro.quant.quantizer import UniformQuantizer
 
 RTOL = 1e-3
 ATOL = 1e-3
@@ -450,6 +454,125 @@ class TestEndToEndTrajectory:
         fast = _micro_vgg_iteration("fast", True, steps=3)
         ref = _micro_vgg_iteration("reference", True, steps=3)
         np.testing.assert_allclose(fast[0], ref[0], rtol=5e-2, atol=5e-2)
+
+
+def _f32(rng, *shape):
+    return rng.normal(size=shape).astype(np.float32)
+
+
+def _bn_params(rng, channels=3):
+    gamma = rng.uniform(0.5, 1.5, size=channels).astype(np.float32)
+    return gamma, _f32(rng, channels)
+
+
+def _bn_train_case(relu):
+    def prepare(backend, rng):
+        return (_f32(rng, 4, 3, 5, 5), *_bn_params(rng))
+
+    def op(backend, x, gamma, beta):
+        out, mean, var, (x_hat, inv_std, _) = backend.batchnorm_train(
+            x, gamma, beta, 1e-5, fuse_relu=relu)
+        return [out, mean, var, x_hat, inv_std]
+
+    return prepare, op
+
+
+def _bn_eval_case(relu):
+    def prepare(backend, rng):
+        running_var = rng.uniform(0.5, 2.0, size=3).astype(np.float32)
+        return (_f32(rng, 4, 3, 5, 5), *_bn_params(rng), _f32(rng, 3),
+                running_var)
+
+    def op(backend, x, gamma, beta, running_mean, running_var):
+        out, (x_hat, inv_std, _) = backend.batchnorm_eval(
+            x, gamma, beta, running_mean, running_var, 1e-5, fuse_relu=relu)
+        return [out, x_hat, inv_std]
+
+    return prepare, op
+
+
+def _bn_bwd_case(relu, training):
+    def prepare(backend, rng):
+        # The residual comes from the C forward, so only the backward's
+        # tier differs between the two legs.
+        x, (gamma, beta) = _f32(rng, 4, 3, 5, 5), _bn_params(rng)
+        _, _, _, residual = backend.batchnorm_train(x, gamma, beta, 1e-5,
+                                                    fuse_relu=relu)
+        return _f32(rng, 4, 3, 5, 5), gamma, residual
+
+    def op(backend, grad, gamma, residual):
+        return list(backend.batchnorm_bwd(grad, gamma, residual, training))
+
+    return prepare, op
+
+
+def _maxpool_bwd_prepare(backend, rng):
+    # A C-forward residual: the leg without C runs the numpy scatter.
+    _, residual = backend.maxpool_fwd(_f32(rng, 2, 3, 6, 6), 2)
+    return _f32(rng, 2, 3, 3, 3), residual
+
+
+def _adam_prepare(backend, rng):
+    v = rng.uniform(0.0, 1.0, size=(6, 7)).astype(np.float32)
+    return _f32(rng, 6, 7), _f32(rng, 6, 7), _f32(rng, 6, 7), v
+
+
+def _adam_op(backend, param, grad, m, v):
+    param = backend.adam_update(param, grad, m, v, 1e-2, 0.9, 0.999, 1e-8,
+                                1e-4, 1.0 - 0.9 ** 3, 1.0 - 0.999 ** 3)
+    return [param, m, v]
+
+
+# name -> (prepare, op): ``prepare`` builds the inputs with the C tier
+# on; ``op`` runs once per tier and returns the arrays to compare.
+FALLBACK_CASES = {
+    "im2col": (lambda b, rng: (_f32(rng, 2, 3, 7, 7),),
+               lambda b, x: [b.im2col(x, 3, 2, 1)[0]]),
+    "col2im": (lambda b, rng: (_f32(rng, 27, 2 * 4 * 4),),
+               lambda b, cols: [b.col2im(cols, (2, 3, 7, 7), 3, 2, 1)]),
+    "batchnorm_train": _bn_train_case(relu=False),
+    "batchnorm_train_relu": _bn_train_case(relu=True),
+    "batchnorm_eval": _bn_eval_case(relu=False),
+    "batchnorm_eval_relu": _bn_eval_case(relu=True),
+    "batchnorm_bwd": _bn_bwd_case(relu=False, training=True),
+    "batchnorm_bwd_relu": _bn_bwd_case(relu=True, training=True),
+    "batchnorm_bwd_eval": _bn_bwd_case(relu=False, training=False),
+    "maxpool_fwd": (lambda b, rng: (_f32(rng, 2, 3, 6, 6),),
+                    lambda b, x: [b.maxpool_fwd(x, 2)[0]]),
+    "maxpool_bwd": (_maxpool_bwd_prepare,
+                    lambda b, grad, residual: [b.maxpool_bwd(grad, residual)]),
+    "fused_fake_quant": (lambda b, rng: (_f32(rng, 2, 3, 5, 5),),
+                         lambda b, x: [b.fake_quant(x, UniformQuantizer(4))]),
+    "adam_update": (_adam_prepare, _adam_op),
+}
+
+
+class TestNumpyFallbacksMatchCKernels:
+    """Each C-backed fast op agrees with its numpy fallback.
+
+    The C tier is on by default wherever cffi and a compiler exist, so
+    without this the fallbacks that define the semantics go untested.
+    """
+
+    @pytest.mark.parametrize("case", sorted(FALLBACK_CASES))
+    def test_fallback_matches_c_tier(self, case, monkeypatch):
+        monkeypatch.delenv("REPRO_NO_CKERNELS", raising=False)
+        monkeypatch.delenv("REPRO_DISABLE_KERNELS", raising=False)
+        if _ckernels.get_kernel("im2col") is None:
+            pytest.skip("C kernel tier unavailable on this host")
+        prepare, op = FALLBACK_CASES[case]
+        backend = FastBackend()
+        compiled = op(backend, *prepare(backend, np.random.default_rng(0)))
+        args = prepare(backend, np.random.default_rng(0))
+        monkeypatch.setenv("REPRO_NO_CKERNELS", "1")
+        fallback = op(backend, *args)
+        assert len(compiled) == len(fallback)
+        for index, (c_out, np_out) in enumerate(zip(compiled, fallback)):
+            assert c_out.dtype == np_out.dtype == np.float32
+            np.testing.assert_allclose(
+                np_out, c_out, rtol=RTOL, atol=ATOL,
+                err_msg=f"{case}: output {index} differs from the C tier",
+            )
 
 
 class TestJobTableConfirmRates:

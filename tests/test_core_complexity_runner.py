@@ -1,11 +1,18 @@
-"""Training complexity (eqn. 4) and the experiment runner."""
+"""Training complexity (eqn. 4) and the Table II rows of the quantization pipeline."""
 
-import numpy as np
 import pytest
 
+from repro.api import (
+    ExperimentContext,
+    Pipeline,
+    QuantizeStage,
+    remove_layer_and_retrain,
+)
 from repro.core import (
-    ExperimentRunner,
+    ADPruner,
+    ADQuantizer,
     QuantizationSchedule,
+    Trainer,
     TrainingComplexity,
 )
 from repro.data import DataLoader
@@ -41,31 +48,37 @@ class TestTrainingComplexity:
             tc.raw()
 
 
+def make_context(model, dataset, rng, schedule, saturation, prune=False,
+                 architecture="model", dataset_name="dataset"):
+    trainer = Trainer(model, Adam(model.parameters(), lr=3e-3), CrossEntropyLoss())
+    return ExperimentContext(
+        model=model,
+        train_loader=DataLoader(dataset, batch_size=8, shuffle=True, rng=rng),
+        test_loader=DataLoader(dataset, batch_size=16),
+        trainer=trainer,
+        quantizer=ADQuantizer(trainer, schedule, saturation),
+        pruner=ADPruner(model.layer_handles()) if prune else None,
+        input_shape=(3, 8, 8),
+        architecture=architecture,
+        dataset=dataset_name,
+    )
+
+
 @pytest.fixture
-def runner_setup(micro_vgg, tiny_dataset, rng):
-    train_loader = DataLoader(tiny_dataset, batch_size=8, shuffle=True, rng=rng)
-    test_loader = DataLoader(tiny_dataset, batch_size=16)
+def quant_ctx(micro_vgg, tiny_dataset, rng):
     schedule = QuantizationSchedule(
         max_iterations=2, max_epochs_per_iteration=3, min_epochs_per_iteration=2
     )
-    runner = ExperimentRunner(
-        micro_vgg,
-        train_loader,
-        test_loader,
-        Adam(micro_vgg.parameters(), lr=3e-3),
-        CrossEntropyLoss(),
-        input_shape=(3, 8, 8),
-        schedule=schedule,
-        saturation=SaturationDetector(window=2, tolerance=0.5),
-        architecture="VGG11",
-        dataset="tiny",
+    return make_context(
+        micro_vgg, tiny_dataset, rng, schedule,
+        SaturationDetector(window=2, tolerance=0.5),
+        architecture="VGG11", dataset_name="tiny",
     )
-    return runner
 
 
-class TestExperimentRunner:
-    def test_report_structure(self, runner_setup):
-        report = runner_setup.run()
+class TestQuantizePipeline:
+    def test_report_structure(self, quant_ctx):
+        report = Pipeline([QuantizeStage()]).run(quant_ctx)
         assert report.architecture == "VGG11"
         assert 1 <= len(report.rows) <= 2
         row = report.rows[0]
@@ -73,8 +86,8 @@ class TestExperimentRunner:
         assert row.train_complexity == pytest.approx(1.0)
         assert len(row.bit_widths) == 9
 
-    def test_second_row_quantized(self, runner_setup):
-        report = runner_setup.run()
+    def test_second_row_quantized(self, quant_ctx):
+        report = Pipeline([QuantizeStage()]).run(quant_ctx)
         if len(report.rows) > 1:
             second = report.rows[1]
             assert second.energy_efficiency >= 1.0
@@ -84,55 +97,46 @@ class TestExperimentRunner:
             assert second.bit_widths[0] == 16
             assert second.bit_widths[-1] == 16
 
-    def test_format_renders(self, runner_setup):
-        report = runner_setup.run()
+    def test_format_renders(self, quant_ctx):
+        report = Pipeline([QuantizeStage()]).run(quant_ctx)
         text = report.format()
         assert "VGG11 on tiny" in text
         assert "Energy Eff" in text
 
-    def test_remove_layer_and_retrain(self, runner_setup, micro_vgg):
-        report = runner_setup.run()
+    def test_remove_layer_and_retrain(self, quant_ctx, micro_vgg):
+        report = Pipeline([QuantizeStage()]).run(quant_ctx)
         removable = next(
             h.name
             for h in micro_vgg.layer_handles()
             if h.is_conv and h.unit.conv.in_channels == h.unit.conv.out_channels
         )
-        row = runner_setup.remove_layer_and_retrain(removable, epochs=1)
+        row = remove_layer_and_retrain(quant_ctx, removable, epochs=1)
         assert row.label == "2a"
         assert len(row.bit_widths) == len(report.rows[0].bit_widths) - 1
         assert row.energy_efficiency > report.rows[-1].energy_efficiency * 0.99
 
-    def test_remove_layer_rejects_shape_changers(self, runner_setup, micro_vgg):
-        runner_setup.run()
+    def test_remove_layer_rejects_shape_changers(self, quant_ctx, micro_vgg):
+        Pipeline([QuantizeStage()]).run(quant_ctx)
         with pytest.raises(ValueError):
-            runner_setup.remove_layer_and_retrain("fc", epochs=1)
+            remove_layer_and_retrain(quant_ctx, "fc", epochs=1)
         shape_changer = next(
             h.name
             for h in micro_vgg.layer_handles()
             if h.is_conv and h.unit.conv.in_channels != h.unit.conv.out_channels
         )
         with pytest.raises(ValueError):
-            runner_setup.remove_layer_and_retrain(shape_changer, epochs=1)
+            remove_layer_and_retrain(quant_ctx, shape_changer, epochs=1)
 
     def test_pruning_mode_reports_channels(self, micro_resnet, tiny_dataset, rng):
-        train_loader = DataLoader(
-            tiny_dataset, batch_size=8, shuffle=True, rng=rng
+        schedule = QuantizationSchedule(
+            max_iterations=2, max_epochs_per_iteration=2,
+            min_epochs_per_iteration=1,
         )
-        runner = ExperimentRunner(
-            micro_resnet,
-            train_loader,
-            DataLoader(tiny_dataset, batch_size=16),
-            Adam(micro_resnet.parameters(), lr=3e-3),
-            CrossEntropyLoss(),
-            input_shape=(3, 8, 8),
-            schedule=QuantizationSchedule(
-                max_iterations=2, max_epochs_per_iteration=2,
-                min_epochs_per_iteration=1,
-            ),
-            saturation=SaturationDetector(window=2, tolerance=0.9),
-            prune=True,
+        ctx = make_context(
+            micro_resnet, tiny_dataset, rng, schedule,
+            SaturationDetector(window=2, tolerance=0.9), prune=True,
         )
-        report = runner.run()
+        report = Pipeline([QuantizeStage()]).run(ctx)
         assert report.rows[0].channel_counts is not None
         if len(report.rows) > 1:
             first = report.rows[0].channel_counts

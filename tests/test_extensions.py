@@ -11,7 +11,7 @@ from repro.core.export import (
     save_report_csv,
     save_report_json,
 )
-from repro.core.runner import ExperimentReport, TableRow
+from repro.core import ExperimentReport, TableRow
 from repro.pim.xnor import XNORAccelerator, binarize, xnor_gemm
 
 
@@ -110,25 +110,30 @@ class TestReportExport:
         assert "[16, 8, 16]" in lines[2]
 
     def test_export_from_live_runner(self, micro_vgg, tiny_dataset, rng, tmp_path):
-        from repro.core import ExperimentRunner, QuantizationSchedule
+        from repro.api import ExperimentContext, Pipeline, QuantizeStage
+        from repro.core import ADQuantizer, QuantizationSchedule, Trainer
         from repro.data import DataLoader
         from repro.density import SaturationDetector
         from repro.nn import Adam, CrossEntropyLoss
 
-        runner = ExperimentRunner(
-            micro_vgg,
-            DataLoader(tiny_dataset, batch_size=8, shuffle=True, rng=rng),
-            DataLoader(tiny_dataset, batch_size=16),
-            Adam(micro_vgg.parameters(), lr=3e-3),
-            CrossEntropyLoss(),
-            input_shape=(3, 8, 8),
-            schedule=QuantizationSchedule(
-                max_iterations=1, max_epochs_per_iteration=2,
-                min_epochs_per_iteration=1,
-            ),
-            saturation=SaturationDetector(window=2, tolerance=0.9),
+        trainer = Trainer(
+            micro_vgg, Adam(micro_vgg.parameters(), lr=3e-3), CrossEntropyLoss()
         )
-        report = runner.run()
+        schedule = QuantizationSchedule(
+            max_iterations=1, max_epochs_per_iteration=2,
+            min_epochs_per_iteration=1,
+        )
+        ctx = ExperimentContext(
+            model=micro_vgg,
+            train_loader=DataLoader(tiny_dataset, batch_size=8, shuffle=True, rng=rng),
+            test_loader=DataLoader(tiny_dataset, batch_size=16),
+            trainer=trainer,
+            quantizer=ADQuantizer(
+                trainer, schedule, SaturationDetector(window=2, tolerance=0.9)
+            ),
+            input_shape=(3, 8, 8),
+        )
+        report = Pipeline([QuantizeStage()]).run(ctx)
         save_report_json(report, tmp_path / "live.json")
         loaded = load_report_json(tmp_path / "live.json")
         assert loaded.rows[0].bit_widths == report.rows[0].bit_widths
