@@ -3,10 +3,25 @@
 Second tier of the fast backend's kernel ladder: when numba is absent
 (it is not a dependency) but cffi and a working C toolchain are present,
 the single-pass float32 chains — fused batchnorm(+relu) forward and
-backward, and the col2im scatter — come from a small C module compiled
-once per source revision.  The build is cached on disk keyed by a hash
-of the C source, so worker subprocesses and later runs import the
-shared object instantly instead of re-invoking the compiler.
+backward, im2col/col2im, Adam, fake-quant and max pooling — come from a
+small C module compiled once per source revision.  The build is cached
+on disk keyed by a hash of the C source and the compile flags, so worker
+subprocesses and later runs import the shared object instantly instead
+of re-invoking the compiler.
+
+Rules of the tier:
+
+* outputs are bit-identical across kernel rewrites: a faster kernel
+  keeps each output's arithmetic, its order and its accumulator types,
+  so trial reports and their digests do not move;
+* hence no flag that lets the compiler reassociate
+  (``-ffast-math``, ``-fassociative-math``, ``-funsafe-math-optimizations``);
+* ``-fno-math-errno`` is safe: it only drops the ``errno`` store of
+  ``sqrt``/``sqrtf``/``rintf``, which nothing reads, so gcc may inline
+  the correctly rounded instruction and vectorize loops around it (the
+  values are the same);
+* the wrappers take C-contiguous float32 arrays only (``_ptr`` raises
+  ``TypeError`` otherwise); callers convert or take the numpy path.
 
 Probe rules mirror :mod:`repro.backend._numba`:
 
@@ -25,6 +40,10 @@ from __future__ import annotations
 
 import hashlib
 import os
+
+import numpy as np
+
+_FLOAT32 = np.dtype(np.float32)
 
 _CDEF = """
 void bn_train_fwd(const float* x, const float* gamma, const float* beta,
@@ -55,6 +74,7 @@ void maxpool_bwd(const float* grad, const signed char* idx, float* gx,
 
 _SOURCE = r"""
 #include <math.h>
+#include <stdint.h>
 #include <string.h>
 
 /* Fused training-mode batchnorm (+ optional relu) over NCHW input:
@@ -123,6 +143,18 @@ void bn_eval_fwd(const float* x, const float* gamma, const float* beta,
     }
 }
 
+/* The relu gate as a bit select: gv where the saved post-relu output
+   is not <= 0, +0.0f where it is.  Same bits as assigning 0.0f on a
+   branch, also for NaN or inf gradients, but without the branch, which
+   mispredicts on activations that are about half zeros. */
+static inline float relu_gate(float gv, float o) {
+    uint32_t bits;
+    memcpy(&bits, &gv, sizeof bits);
+    bits &= -(uint32_t) !(o <= 0.0f);
+    memcpy(&gv, &bits, sizeof gv);
+    return gv;
+}
+
 /* Fused batchnorm backward (+ optional relu gate read from the saved
    post-relu output): one reduction pass, one gradient pass, zero
    full-size temporaries. */
@@ -138,8 +170,7 @@ void bn_bwd(const float* grad, const float* x_hat, const float* inv_std,
             const float* xh = x_hat + base;
             const float* o = out + base;
             for (long pi = 0; pi < p; pi++) {
-                float gv = g[pi];
-                if (relu && o[pi] <= 0.0f) gv = 0.0f;
+                float gv = relu ? relu_gate(g[pi], o[pi]) : g[pi];
                 sg += gv; sgx += gv * (double) xh[pi];
             }
         }
@@ -154,8 +185,7 @@ void bn_bwd(const float* grad, const float* x_hat, const float* inv_std,
             const float* o = out + base;
             float* r = gx + base;
             for (long pi = 0; pi < p; pi++) {
-                float gv = g[pi];
-                if (relu && o[pi] <= 0.0f) gv = 0.0f;
+                float gv = relu ? relu_gate(g[pi], o[pi]) : g[pi];
                 if (training)
                     r[pi] = scale * (gv - mean_dy - xh[pi] * mean_dy_xhat);
                 else
@@ -165,42 +195,65 @@ void bn_bwd(const float* grad, const float* x_hat, const float* inv_std,
     }
 }
 
+/* Tap (ki, kj)'s in-image output rectangle at stride 1: output rows
+   [i0, i1) and columns [j0, j1) read input pixels, the rest of the
+   oh x ow plane reads the implicit zero padding.  Empty when
+   i0 >= i1 or j0 >= j1 (a 3x3 tap off the centre of a 1x1 image). */
+typedef struct { long i0, i1, j0, j1; } tap_rect;
+
+static tap_rect stride1_rect(long h, long w, long oh, long ow, long ki,
+                             long kj, long padding) {
+    tap_rect r;
+    r.i0 = padding - ki > 0 ? padding - ki : 0;
+    r.i1 = h + padding - ki < oh ? h + padding - ki : oh;
+    r.j0 = padding - kj > 0 ? padding - kj : 0;
+    r.j1 = w + padding - kj < ow ? w + padding - kj : ow;
+    return r;
+}
+
 /* im2col gather with implicit zero padding: writes each (channel,
    ki, kj) row of the column matrix contiguously, no padded copy and
-   no strided-view reshape on the way out.  At stride 1 each output
-   row is a shifted copy of the input row, so the interior is a
-   memcpy and only the padding fringe is written scalar. */
-void im2col(const float* x, float* cols, long n, long c, long h, long w,
-            long kernel, long stride, long padding, long oh, long ow) {
-    long ncols = n * oh * ow;
+   no strided-view reshape on the way out.  At stride 1 each tap is a
+   shifted copy of its in-image rectangle: the row is zeroed only when
+   the rectangle does not cover it, and the rectangle's rows are
+   copied by an inline loop: a libc memcpy per image row costs more
+   than it moves on the 1x1 to 4x4 planes of the deep layers, so the
+   attribute stops gcc from turning the loop back into memcpy calls. */
+__attribute__((optimize("no-tree-loop-distribute-patterns")))
+void im2col(const float* restrict x, float* restrict cols, long n, long c,
+            long h, long w, long kernel, long stride, long padding,
+            long oh, long ow) {
+    long plane = oh * ow, ncols = n * plane;
     for (long ci = 0; ci < c; ci++) {
         for (long ki = 0; ki < kernel; ki++) {
             for (long kj = 0; kj < kernel; kj++) {
                 float* dst = cols + ((ci * kernel + ki) * kernel + kj) * ncols;
-                long j0 = padding - kj > 0 ? padding - kj : 0;
-                long j1 = w + padding - kj < ow ? w + padding - kj : ow;
-                for (long ni = 0; ni < n; ni++) {
-                    const float* src = x + (ni * c + ci) * h * w;
-                    for (long io = 0; io < oh; io++) {
-                        long ih = io * stride + ki - padding;
-                        float* d = dst + (ni * oh + io) * ow;
-                        if (ih < 0 || ih >= h) {
-                            for (long jo = 0; jo < ow; jo++) d[jo] = 0.0f;
-                            continue;
-                        }
-                        const float* s = src + ih * w;
-                        if (stride == 1) {
-                            for (long jo = 0; jo < j0; jo++) d[jo] = 0.0f;
-                            memcpy(d + j0, s + j0 + kj - padding,
-                                   (size_t)(j1 - j0) * sizeof(float));
-                            for (long jo = j1; jo < ow; jo++) d[jo] = 0.0f;
-                            continue;
-                        }
-                        for (long jo = 0; jo < ow; jo++) {
-                            long iw = jo * stride + kj - padding;
-                            d[jo] = (iw >= 0 && iw < w) ? s[iw] : 0.0f;
+                if (stride != 1) {
+                    for (long ni = 0; ni < n; ni++) {
+                        const float* src = x + (ni * c + ci) * h * w;
+                        for (long io = 0; io < oh; io++) {
+                            long ih = io * stride + ki - padding;
+                            float* d = dst + (ni * oh + io) * ow;
+                            for (long jo = 0; jo < ow; jo++) {
+                                long iw = jo * stride + kj - padding;
+                                d[jo] = (ih >= 0 && ih < h && iw >= 0 && iw < w)
+                                        ? src[ih * w + iw] : 0.0f;
+                            }
                         }
                     }
+                    continue;
+                }
+                tap_rect r = stride1_rect(h, w, oh, ow, ki, kj, padding);
+                if (r.i0 > 0 || r.i1 < oh || r.j0 > 0 || r.j1 < ow)
+                    memset(dst, 0, (size_t) ncols * sizeof(float));
+                if (r.i0 >= r.i1 || r.j0 >= r.j1) continue;
+                long len = r.j1 - r.j0;
+                for (long ni = 0; ni < n; ni++) {
+                    const float* s = x + ((ni * c + ci) * h + r.i0 + ki - padding) * w
+                                     + r.j0 + kj - padding;
+                    float* d = dst + ni * plane + r.i0 * ow + r.j0;
+                    for (long io = r.i0; io < r.i1; io++, s += w, d += ow)
+                        for (long t = 0; t < len; t++) d[t] = s[t];
                 }
             }
         }
@@ -208,35 +261,43 @@ void im2col(const float* x, float* cols, long n, long c, long h, long w,
 }
 
 /* col2im scatter with implicit zero padding: accumulates directly into
-   the (already zeroed) gradient buffer, no padded intermediate.  The
-   stride-1 interior is a branch-free shifted accumulate the compiler
-   can vectorize; only out-of-image columns are skipped. */
-void col2im(const float* cols, float* gx, long n, long c, long h, long w,
-            long kernel, long stride, long padding, long oh, long ow) {
-    long ncols = n * oh * ow;
+   the (already zeroed) gradient buffer, no padded intermediate.  Each
+   pixel sums its taps in (ki, kj) order, as col2im_sliced does.  At
+   stride 1 only a tap's in-image rectangle is visited, and taps with
+   an empty one are skipped. */
+void col2im(const float* restrict cols, float* restrict gx, long n, long c,
+            long h, long w, long kernel, long stride, long padding,
+            long oh, long ow) {
+    long plane = oh * ow, ncols = n * plane;
     for (long ci = 0; ci < c; ci++) {
         for (long ki = 0; ki < kernel; ki++) {
             for (long kj = 0; kj < kernel; kj++) {
                 const float* src = cols + ((ci * kernel + ki) * kernel + kj) * ncols;
-                long j0 = padding - kj > 0 ? padding - kj : 0;
-                long j1 = w + padding - kj < ow ? w + padding - kj : ow;
-                for (long ni = 0; ni < n; ni++) {
-                    float* dst = gx + (ni * c + ci) * h * w;
-                    for (long io = 0; io < oh; io++) {
-                        long ih = io * stride + ki - padding;
-                        if (ih < 0 || ih >= h) continue;
-                        const float* s = src + (ni * oh + io) * ow;
-                        float* d = dst + ih * w;
-                        if (stride == 1) {
-                            float* base = d + kj - padding;
-                            for (long jo = j0; jo < j1; jo++) base[jo] += s[jo];
-                            continue;
-                        }
-                        for (long jo = 0; jo < ow; jo++) {
-                            long iw = jo * stride + kj - padding;
-                            if (iw >= 0 && iw < w) d[iw] += s[jo];
+                if (stride != 1) {
+                    for (long ni = 0; ni < n; ni++) {
+                        float* dst = gx + (ni * c + ci) * h * w;
+                        for (long io = 0; io < oh; io++) {
+                            long ih = io * stride + ki - padding;
+                            if (ih < 0 || ih >= h) continue;
+                            const float* s = src + (ni * oh + io) * ow;
+                            float* d = dst + ih * w;
+                            for (long jo = 0; jo < ow; jo++) {
+                                long iw = jo * stride + kj - padding;
+                                if (iw >= 0 && iw < w) d[iw] += s[jo];
+                            }
                         }
                     }
+                    continue;
+                }
+                tap_rect r = stride1_rect(h, w, oh, ow, ki, kj, padding);
+                if (r.i0 >= r.i1 || r.j0 >= r.j1) continue;
+                long len = r.j1 - r.j0;
+                for (long ni = 0; ni < n; ni++) {
+                    const float* s = src + ni * plane + r.i0 * ow + r.j0;
+                    float* d = gx + ((ni * c + ci) * h + r.i0 + ki - padding) * w
+                               + r.j0 + kj - padding;
+                    for (long io = r.i0; io < r.i1; io++, s += ow, d += w)
+                        for (long t = 0; t < len; t++) d[t] += s[t];
                 }
             }
         }
@@ -313,6 +374,9 @@ void maxpool_bwd(const float* grad, const signed char* idx, float* gx,
 }
 """
 
+# See the module docstring: no reassociating flag, ever.
+_COMPILE_ARGS = ("-O3", "-march=native", "-funroll-loops", "-fno-math-errno")
+
 _LIB = None
 _FAILED = False
 
@@ -330,11 +394,35 @@ def kernel_disabled(name: str) -> bool:
     return "all" in names or name in names
 
 
+def kernel_ready(*arrays) -> bool:
+    """Whether every array can go to a compiled kernel as it is.
+
+    The kernels (C and numba alike) read raw C-contiguous float32
+    buffers: anything else is converted by the caller or takes the
+    numpy path.
+    """
+    for array in arrays:
+        if array.dtype != _FLOAT32 or not array.flags.c_contiguous:
+            return False
+    return True
+
+
 def _cache_dir() -> str:
     root = os.environ.get("REPRO_CKERNEL_CACHE")
     if not root:
         root = os.path.join(os.path.expanduser("~"), ".cache", "repro-ckernels")
     return root
+
+
+def _module_dir(compile_args=_COMPILE_ARGS) -> tuple[str, str]:
+    """``(module name, build dir)`` for one source revision and flag list.
+
+    The flags are part of the digest: a flag change alone must rebuild,
+    not load a cached module compiled under the old flags.
+    """
+    key = "\0".join([_CDEF, _SOURCE, *compile_args])
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+    return f"_repro_ck_{digest}", os.path.join(_cache_dir(), digest)
 
 
 def _load():
@@ -347,9 +435,7 @@ def _load():
 
         import cffi
 
-        digest = hashlib.sha256((_CDEF + _SOURCE).encode()).hexdigest()[:16]
-        modname = f"_repro_ck_{digest}"
-        moddir = os.path.join(_cache_dir(), digest)
+        modname, moddir = _module_dir()
         sofile = None
         if os.path.isdir(moddir):
             for entry in os.listdir(moddir):
@@ -363,7 +449,7 @@ def _load():
             ffi.set_source(
                 modname,
                 _SOURCE,
-                extra_compile_args=["-O3", "-march=native", "-funroll-loops"],
+                extra_compile_args=list(_COMPILE_ARGS),
                 libraries=["m"],
             )
             sofile = ffi.compile(tmpdir=moddir, verbose=False)
@@ -405,6 +491,16 @@ def _missing(module):
 
 
 def _ptr(ffi, array):
+    """A ``float*`` view of ``array``; TypeError unless float32 C-contiguous.
+
+    ``from_buffer`` takes any buffer and would reinterpret its bytes, so
+    a float64 or strided array must be refused here, never passed on.
+    """
+    if not kernel_ready(array):
+        raise TypeError(
+            f"C kernels take C-contiguous float32 arrays, got {array.dtype} "
+            f"(c_contiguous={array.flags.c_contiguous})"
+        )
     # from_buffer is a C-level view; array.ctypes would build a python
     # ctypes object per call, which shows up at this call frequency.
     return ffi.from_buffer("float[]", array)

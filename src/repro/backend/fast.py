@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import _ckernels, _numba
+from repro.backend._ckernels import kernel_ready
 from repro.backend._im2col import col2im_sliced, conv_output_size, im2col_strided
 from repro.backend.base import ArrayBackend
 
@@ -51,8 +52,7 @@ class FastBackend(ArrayBackend):
 
     def im2col(self, x, kernel, stride, padding):
         jitted = _fused_kernel("im2col")
-        if (jitted is not None and x.flags.c_contiguous
-                and x.dtype == self.dtype):
+        if jitted is not None and kernel_ready(x):
             n, c, h, w = x.shape
             out_h = conv_output_size(h, kernel, stride, padding)
             out_w = conv_output_size(w, kernel, stride, padding)
@@ -64,8 +64,7 @@ class FastBackend(ArrayBackend):
 
     def col2im(self, cols, x_shape, kernel, stride, padding):
         scatter = _fused_kernel("col2im")
-        if (scatter is not None and cols.flags.c_contiguous
-                and cols.dtype == self.dtype):
+        if scatter is not None and kernel_ready(cols):
             n, c, h, w = x_shape
             out_h = conv_output_size(h, kernel, stride, padding)
             out_w = conv_output_size(w, kernel, stride, padding)
@@ -82,6 +81,8 @@ class FastBackend(ArrayBackend):
         n, c, h, w = x.shape
         kernel = _fused_kernel("batchnorm_train_fwd")
         if kernel is not None:
+            gamma = np.ascontiguousarray(gamma, dtype=self.dtype)
+            beta = np.ascontiguousarray(beta, dtype=self.dtype)
             out = np.empty_like(x)
             x_hat = np.empty_like(x)
             mean = np.empty(c, dtype=self.dtype)
@@ -115,6 +116,8 @@ class FastBackend(ArrayBackend):
         n, c, h, w = x.shape
         kernel = _fused_kernel("batchnorm_eval_fwd")
         if kernel is not None:
+            gamma = np.ascontiguousarray(gamma, dtype=self.dtype)
+            beta = np.ascontiguousarray(beta, dtype=self.dtype)
             out = np.empty_like(x)
             x_hat = np.empty_like(x)
             inv_std = np.empty(c, dtype=self.dtype)
@@ -142,18 +145,22 @@ class FastBackend(ArrayBackend):
         grad = np.ascontiguousarray(grad, dtype=self.dtype)
         n, c, h, w = grad.shape
         kernel = _fused_kernel("batchnorm_bwd")
-        if kernel is not None and x_hat.flags.c_contiguous:
+        relu = gate is not None
+        out = gate if relu else x_hat  # unread when relu is off
+        if kernel is not None and kernel_ready(x_hat, out):
             gx = np.empty_like(grad)
             ggamma = np.empty(c, dtype=self.dtype)
             gbeta = np.empty(c, dtype=self.dtype)
-            relu = gate is not None
-            out = gate if relu else x_hat  # unread when relu is off
-            kernel(grad.reshape(n, c, -1), x_hat.reshape(n, c, -1), inv_std,
-                   gamma, out.reshape(n, c, -1), relu, training,
+            kernel(grad.reshape(n, c, -1), x_hat.reshape(n, c, -1),
+                   np.ascontiguousarray(inv_std, dtype=self.dtype),
+                   np.ascontiguousarray(gamma, dtype=self.dtype),
+                   out.reshape(n, c, -1), relu, training,
                    gx.reshape(n, c, -1), ggamma, gbeta)
             return gx, ggamma, gbeta
-        if gate is not None:
-            grad = grad * (gate > 0)
+        if relu:
+            # A select, not a multiply: a gated-off gradient is +0.0 even
+            # when it is NaN or inf, as in the C kernel.
+            grad = np.where(gate <= 0, self.dtype.type(0), grad)
         ggamma = np.einsum("nchw,nchw->c", grad, x_hat)
         gbeta = grad.sum(axis=_BN_AXES)
         scale = (gamma * inv_std).reshape(1, -1, 1, 1)
@@ -167,8 +174,7 @@ class FastBackend(ArrayBackend):
 
     def maxpool_fwd(self, x, kernel):
         ck = _fused_kernel("maxpool_fwd")
-        if (ck is not None and kernel * kernel <= 127
-                and x.flags.c_contiguous and x.dtype == self.dtype):
+        if ck is not None and kernel * kernel <= 127 and kernel_ready(x):
             n, c, h, w = x.shape
             out_h, out_w = h // kernel, w // kernel
             out = np.empty((n, c, out_h, out_w), dtype=x.dtype)
@@ -215,7 +221,7 @@ class FastBackend(ArrayBackend):
         scale = levels / (hi - lo)
         inv_scale = (hi - lo) / levels
         kernel = _fused_kernel("fused_fake_quant")
-        if kernel is not None and x.flags.c_contiguous:
+        if kernel is not None and kernel_ready(x):
             out = np.empty_like(x)
             kernel(x, out, lo, scale, inv_scale)
             return out
@@ -248,9 +254,7 @@ class FastBackend(ArrayBackend):
     def adam_update(self, param, grad, m, v, lr, beta1, beta2, eps,
                     weight_decay, bias1, bias2):
         kernel = _fused_kernel("adam_update")
-        if (kernel is not None and param.flags.c_contiguous
-                and grad.flags.c_contiguous and m.flags.c_contiguous
-                and v.flags.c_contiguous):
+        if kernel is not None and kernel_ready(param, grad, m, v):
             kernel(param, grad, m, v, lr, beta1, beta2, eps, weight_decay,
                    bias1, bias2)
             return param
