@@ -7,10 +7,11 @@ configurations from the same seeds:
 * ``fused fast`` — the float32 backend as shipped: fused elementwise
   chains (relu / batchnorm / softmax / losses / maxpool) with the
   numba-or-C kernel tiers probed per call;
-* ``pr8 fast`` — the pre-fusion fast path, reconstructed by disabling
-  fusion and every kernel added with it (``REPRO_DISABLE_KERNELS`` +
-  ``REPRO_NO_CKERNELS``; the numba sgd/fake-quant kernels PR8 shipped
-  stay on where numba is present);
+* ``pr8 fast`` — the pre-fusion fast path, reconstructed by building
+  the seed's per-primitive graph (``tests/seed_graph.py``, loaded by
+  path so that code exists once) and disabling every kernel added with
+  fusion (``REPRO_DISABLE_KERNELS`` + ``REPRO_NO_CKERNELS``; the numba
+  sgd/fake-quant kernels PR8 shipped stay on where numba is present);
 * ``reference`` — the float64 reference engine.
 
 Each leg is timed ``REPRO_BENCH_REPEATS`` times (the host is shared, so
@@ -26,12 +27,13 @@ neighbourhood: a speedup bought with a broken training loop is a bug,
 not a win.
 """
 
+import importlib.util
 import json
 import os
 import time
+from pathlib import Path
 
 from repro.api import experiments
-from repro.backend import use_fusion
 
 from common import bench_record_path
 
@@ -49,6 +51,18 @@ PR8_DISABLED_KERNELS = (
     "im2col,col2im,batchnorm_train_fwd,batchnorm_eval_fwd,batchnorm_bwd,"
     "adam_update,maxpool_fwd,maxpool_bwd"
 )
+
+
+def _load_seed_graph():
+    """The test suite's seed-graph oracle module, imported from its file."""
+    path = Path(__file__).resolve().parents[1] / "tests" / "seed_graph.py"
+    spec = importlib.util.spec_from_file_location("seed_graph", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+seed_graph = _load_seed_graph().seed_graph
 
 
 def _trial(backend: str):
@@ -74,7 +88,7 @@ def _pr8_trial():
     os.environ["REPRO_NO_CKERNELS"] = "1"
     os.environ["REPRO_DISABLE_KERNELS"] = PR8_DISABLED_KERNELS
     try:
-        with use_fusion(False):
+        with seed_graph():
             return _trial("fast")
     finally:
         for key, value in saved.items():

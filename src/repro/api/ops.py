@@ -45,8 +45,9 @@ def remove_layer_and_retrain(
     bit_widths = [
         spec.bits for spec in ctx.quantizer.plan if spec.name != layer_name
     ]
+    last_iter = ctx.report.rows[-1].iteration if ctx.report.rows else 0
     return TableRow(
-        iteration=len(ctx.quantizer.records) + 1,
+        iteration=last_iter + 1,
         bit_widths=bit_widths,
         test_accuracy=ctx.trainer.evaluate(ctx.test_loader),
         total_ad=ctx.trainer.monitor.total_density(),

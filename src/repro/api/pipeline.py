@@ -15,7 +15,7 @@ list:
 
 from __future__ import annotations
 
-from repro.api.context import ExperimentContext, build_context
+from repro.api.context import ExperimentContext
 from repro.api.stages import Stage
 from repro.core.report import ExperimentReport
 
@@ -135,7 +135,3 @@ class Pipeline:
         finally:
             ctx._resume_cursor = None
             ctx._resume_mid_stage = False
-
-    def run_config(self, config) -> ExperimentReport:
-        """Convenience: build a fresh context from ``config`` and run."""
-        return self.run(build_context(config))

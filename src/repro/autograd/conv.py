@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd.tensor import Tensor
-from repro.backend import active_backend, fusion_enabled
+from repro.backend import active_backend
 from repro.backend._im2col import conv_output_size
 
 
@@ -82,8 +82,7 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     out_h = conv_output_size(h, kernel, stride, 0)
     out_w = conv_output_size(w, kernel, stride, 0)
 
-    block = stride == kernel and h % kernel == 0 and w % kernel == 0
-    if block and fusion_enabled():
+    if stride == kernel and h % kernel == 0 and w % kernel == 0:
         # Fused single-node pool on the backend: the residual keeps only
         # argmax indices, not the k*k window expansion.
         backend = active_backend()
@@ -94,18 +93,9 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
 
         return Tensor.from_op(out, (x,), backward, "max_pool2d")
 
-    if block:
-        # Fast path: reshape into blocks.
-        reshaped = x.data.reshape(n, c, out_h, kernel, out_w, kernel)
-        windows = reshaped.transpose(0, 1, 2, 4, 3, 5).reshape(
-            n, c, out_h, out_w, kernel * kernel
-        )
-    else:
-        cols, out_h, out_w = im2col(
-            x.data.reshape(n * c, 1, h, w), kernel, stride, 0
-        )
-        windows = cols.reshape(kernel * kernel, n * c, out_h * out_w)
-        windows = windows.transpose(1, 2, 0).reshape(n, c, out_h, out_w, -1)
+    cols, out_h, out_w = im2col(x.data.reshape(n * c, 1, h, w), kernel, stride, 0)
+    windows = cols.reshape(kernel * kernel, n * c, out_h * out_w)
+    windows = windows.transpose(1, 2, 0).reshape(n, c, out_h, out_w, -1)
 
     argmax = windows.argmax(axis=-1)
     out = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
@@ -113,10 +103,6 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     def backward(grad):
         grad_windows = np.zeros_like(windows)
         np.put_along_axis(grad_windows, argmax[..., None], grad[..., None], axis=-1)
-        if stride == kernel and h % kernel == 0 and w % kernel == 0:
-            g = grad_windows.reshape(n, c, out_h, out_w, kernel, kernel)
-            g = g.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
-            return (g,)
         cols_grad = grad_windows.reshape(n * c, out_h * out_w, kernel * kernel)
         cols_grad = cols_grad.transpose(2, 0, 1).reshape(kernel * kernel, -1)
         g = col2im(cols_grad, (n * c, 1, h, w), kernel, stride, 0)

@@ -15,14 +15,11 @@ right backend when they rebuild a config.
 
 The default is ``reference`` — the seed's float64 semantics.
 
-Alongside backend selection this module owns the *fusion* switch:
-whether the autograd/nn layers collapse elementwise chains
-(relu/batchnorm/softmax/cross-entropy/linear/mse) into single graph
-nodes via the backend's fused kernels (the default), or build the
-historical one-node-per-primitive graphs.  On the reference backend the
-fused kernels compose the same float64 ops in the same order, so the
-toggle never changes numerics there — it exists so tests can pin that
-exact equality and benchmarks can measure the unfused baseline.
+The autograd/nn layers build one graph node per elementwise chain
+(relu/batchnorm/softmax/cross-entropy/linear/mse/maxpool) on the active
+backend's fused kernels.  On the reference backend those kernels compose
+the same float64 ops in the same order as the seed's one-node-per-
+primitive graphs, so the fused graph is bit-identical to the seed's.
 """
 
 from __future__ import annotations
@@ -83,31 +80,6 @@ def use_backend(name: str):
         yield backend
     finally:
         _ACTIVE.pop()
-
-
-_FUSION: list[bool] = [True]
-
-
-def fusion_enabled() -> bool:
-    """Whether elementwise chains dispatch to the fused backend kernels."""
-    return _FUSION[-1]
-
-
-def set_fusion(enabled: bool) -> bool:
-    """Set the process-wide fusion flag; returns the previous value."""
-    previous = _FUSION[-1]
-    _FUSION[-1] = bool(enabled)
-    return previous
-
-
-@contextlib.contextmanager
-def use_fusion(enabled: bool):
-    """Temporarily force fusion on/off; restores the previous state on exit."""
-    _FUSION.append(bool(enabled))
-    try:
-        yield
-    finally:
-        _FUSION.pop()
 
 
 register_backend(ReferenceBackend())

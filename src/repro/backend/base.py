@@ -18,7 +18,8 @@ by calling ``np.*`` directly:
 The base-class implementations of the fused chains compose the exact
 float64-era op sequence of the seed engine, in the same order — the
 reference backend inherits them unchanged, which is what keeps fused
-reference runs bit-identical to the historical per-primitive graphs.
+reference runs bit-identical to the historical per-primitive graphs
+(``tests/seed_graph.py`` keeps those graphs as the test oracle).
 Residuals are backend-opaque: each backend saves exactly what its own
 backward needs (a bool mask for relu, ``(x_hat, inv_std, ...)`` for
 batchnorm), and nothing else — forward temporaries die with the

@@ -117,8 +117,7 @@ class ConvUnit(Module):
         out = self.conv(x)
         if self.bn is not None:
             # bn -> relu collapses into one fused graph node (one fused
-            # backward, no post-bn temporary) when fusion is enabled;
-            # forward_fused degrades to the two-node chain otherwise.
+            # backward, no post-bn temporary).
             out = self.bn.forward_fused(out, fuse_relu=self.use_relu)
         elif self.use_relu:
             out = out.relu()

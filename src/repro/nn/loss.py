@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.autograd import Tensor
 from repro.autograd import functional as F
-from repro.backend import active_backend, fusion_enabled
+from repro.backend import active_backend
 from repro.nn.module import Module
 
 
@@ -25,7 +25,7 @@ class MSELoss(Module):
 
     def forward(self, prediction: Tensor, target) -> Tensor:
         target = target if isinstance(target, Tensor) else Tensor(target)
-        if fusion_enabled() and prediction.data.shape == target.data.shape:
+        if prediction.data.shape == target.data.shape:
             backend = active_backend()
             loss, residual = backend.mse_fwd(prediction.data, target.data)
             needs_target_grad = target.requires_grad

@@ -252,7 +252,17 @@ class JobQueue:
         path = queue.state_path
         if path is None or not path.exists():
             return queue
-        payload = json.loads(path.read_text())
+        try:
+            payload = json.loads(path.read_text())
+        except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(
+                f"state file {str(path)!r} is not valid JSON: {error}"
+            ) from None
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"state file {str(path)!r} holds a JSON "
+                f"{type(payload).__name__}, expected an object"
+            )
         if payload.get("version") != STATE_VERSION:
             raise ValueError(
                 f"state file {str(path)!r} has version "

@@ -16,10 +16,9 @@ def _reset_backend():
     leak float32 array creation into the next test.
     """
     yield
-    from repro.backend import set_active_backend, set_fusion
+    from repro.backend import set_active_backend
 
     set_active_backend("reference")
-    set_fusion(True)
 
 
 @pytest.fixture

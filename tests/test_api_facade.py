@@ -1,8 +1,9 @@
 """Experiment-level contracts on a config-built context.
 
 Covers restarting an experiment, the Table II row-2a pre-run
-RuntimeError guard, and the public ``train_until_saturation`` spelling
-(the deprecation shim for the old private training method is gone).
+RuntimeError guard and row numbering, and the public
+``train_until_saturation`` spelling (the deprecation shim for the old
+private training method is gone).
 """
 
 import pytest
@@ -67,6 +68,22 @@ class TestPreRunGuard:
         row = remove_layer_and_retrain(ctx, name, epochs=1)
         assert row.label == "2a"
         assert len(row.bit_widths) == len(handles) - 1
+
+    def test_removed_layer_row_follows_the_last_reported_iteration(self):
+        # Row 2a numbers itself after the pipeline's rows, the rule
+        # PruneStage follows; the quantizer's own record list stays
+        # empty under the pipeline, so it cannot be the counter.
+        ctx = build_context(micro_config())
+        report = Pipeline([QuantizeStage()]).run(ctx)
+        assert [r.iteration for r in report.rows] == list(
+            range(1, len(report.rows) + 1)
+        )
+        name = next(
+            h.name for h in ctx.model.layer_handles()
+            if h.is_conv and h.unit.conv.in_channels == h.unit.conv.out_channels
+        )
+        row = remove_layer_and_retrain(ctx, name, epochs=1)
+        assert row.iteration == report.rows[-1].iteration + 1
 
 
 class TestPublicTrainUntilSaturation:

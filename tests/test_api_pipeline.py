@@ -120,10 +120,6 @@ class TestPipelineProtocol:
         assert second.rows == rows_before
         assert "analytical_energy" in ctx.artifacts
 
-    def test_run_config_builds_fresh_context(self):
-        report = Pipeline([QuantizeStage()]).run_config(micro_config())
-        assert report.rows
-
     def test_custom_stage_composes(self):
         class MarkerStage(Stage):
             name = "marker"

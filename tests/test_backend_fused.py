@@ -3,7 +3,7 @@
 Four guarantees, one file:
 
 1. on the **reference** backend every fused chain is *bit-identical* to
-   the per-primitive seed graph it replaced (``use_fusion(False)`` keeps
+   the per-primitive seed graph it replaced (``seed_graph.py`` keeps
    that graph alive to diff against), so pinned trajectories and cache
    keys cannot move;
 2. on the **fast** backend every fused kernel agrees with the reference
@@ -16,6 +16,7 @@ Four guarantees, one file:
    agree with the compiled C kernels op by op.
 """
 
+import contextlib
 import gc
 import weakref
 
@@ -25,16 +26,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autograd import Tensor
-from repro.autograd.conv import max_pool2d
-from repro.autograd.functional import (cross_entropy, dropout, log_softmax,
-                                       softmax)
+from repro.autograd import conv
+from repro.autograd import functional as F
 from repro.autograd.gradcheck import grad_check
-from repro.backend import _ckernels, active_backend, use_backend, use_fusion
+from repro.backend import _ckernels, active_backend, use_backend
 from repro.backend.fast import FastBackend
 from repro.nn.layers import BatchNorm2d, Linear
 from repro.nn.loss import CrossEntropyLoss, MSELoss
 from repro.nn.optim import SGD
 from repro.quant.quantizer import UniformQuantizer
+from seed_graph import seed_graph
 
 RTOL = 1e-3
 ATOL = 1e-3
@@ -44,9 +45,14 @@ ARRAYS = st.integers(min_value=0, max_value=2**31 - 1).map(
 )
 
 
+def _graph(fused):
+    """The library's fused graph, or the seed's per-primitive one."""
+    return contextlib.nullcontext() if fused else seed_graph()
+
+
 def _run(backend_name, fused, func, arrays):
-    """``(output, grads)`` of ``func(*arrays)`` on one backend/fusion mode."""
-    with use_backend(backend_name), use_fusion(fused):
+    """``(output, grads)`` of ``func(*arrays)`` on one backend and graph."""
+    with use_backend(backend_name), _graph(fused):
         tensors = [Tensor(a, requires_grad=True) for a in arrays]
         out = func(*tensors)
         out.sum().backward()
@@ -80,7 +86,7 @@ def _micro_vgg_iteration(backend_name, fused, steps=1):
     """Losses / grads / buffers / graph size of a tiny VGG train loop."""
     from repro.models import vgg11
 
-    with use_backend(backend_name), use_fusion(fused):
+    with use_backend(backend_name), _graph(fused):
         rng = np.random.default_rng(7)
         model = vgg11(num_classes=4, width_multiplier=0.0625, image_size=8,
                       rng=np.random.default_rng(42))
@@ -136,8 +142,8 @@ class TestReferenceBitIdentity:
     @settings(max_examples=15, deadline=None)
     def test_softmax_log_softmax_exact(self, rng):
         x = rng.normal(size=(6, 5)) * 3.0
-        assert_fused_matches_unfused_exactly(lambda a: softmax(a), [x])
-        assert_fused_matches_unfused_exactly(lambda a: log_softmax(a), [x])
+        assert_fused_matches_unfused_exactly(lambda a: F.softmax(a), [x])
+        assert_fused_matches_unfused_exactly(lambda a: F.log_softmax(a), [x])
 
     @given(ARRAYS)
     @settings(max_examples=15, deadline=None)
@@ -145,7 +151,7 @@ class TestReferenceBitIdentity:
         logits = rng.normal(size=(8, 5)) * 2.0
         targets = rng.integers(0, 5, size=8)
         assert_fused_matches_unfused_exactly(
-            lambda a: cross_entropy(a, targets), [logits]
+            lambda a: F.cross_entropy(a, targets), [logits]
         )
 
     @given(ARRAYS)
@@ -154,7 +160,7 @@ class TestReferenceBitIdentity:
         x = rng.normal(size=(7, 7))
         seed = int(rng.integers(0, 2**32))
         assert_fused_matches_unfused_exactly(
-            lambda a: dropout(a, 0.3, np.random.default_rng(seed)), [x]
+            lambda a: F.dropout(a, 0.3, np.random.default_rng(seed)), [x]
         )
 
     @given(ARRAYS, st.sampled_from([(8, 2), (6, 3), (2, 2)]))
@@ -167,7 +173,7 @@ class TestReferenceBitIdentity:
         size, kernel = geometry
         x = rng.normal(size=(2, 3, size, size))
         assert_fused_matches_unfused_exactly(
-            lambda a: max_pool2d(a, kernel), [x]
+            lambda a: conv.max_pool2d(a, kernel), [x]
         )
 
     @given(ARRAYS)
@@ -248,7 +254,7 @@ class TestFusedDifferential:
     @settings(max_examples=15, deadline=None)
     def test_log_softmax(self, rng):
         x = rng.normal(size=(8, 5)) * 3.0
-        assert_fast_matches_reference(lambda a: log_softmax(a), [x])
+        assert_fast_matches_reference(lambda a: F.log_softmax(a), [x])
 
     @given(ARRAYS)
     @settings(max_examples=15, deadline=None)
@@ -256,7 +262,7 @@ class TestFusedDifferential:
         logits = rng.normal(size=(8, 5)) * 3.0
         targets = rng.integers(0, 5, size=8)
         assert_fast_matches_reference(
-            lambda a: cross_entropy(a, targets), [logits]
+            lambda a: F.cross_entropy(a, targets), [logits]
         )
 
     @given(ARRAYS, st.booleans())
@@ -303,7 +309,7 @@ class TestFusedDifferential:
     def test_max_pool(self, rng, geometry):
         size, kernel = geometry
         x = rng.normal(size=(2, 3, size, size))
-        assert_fast_matches_reference(lambda a: max_pool2d(a, kernel), [x])
+        assert_fast_matches_reference(lambda a: conv.max_pool2d(a, kernel), [x])
 
     @given(ARRAYS)
     @settings(max_examples=15, deadline=None)
@@ -336,7 +342,7 @@ class TestNonContiguousInputs:
         base = rng.normal(size=(7, 6))
         view = base.T  # non-contiguous float64 view
         assert_fast_matches_reference(lambda a: a.relu(), [view])
-        assert_fast_matches_reference(lambda a: log_softmax(a), [view])
+        assert_fast_matches_reference(lambda a: F.log_softmax(a), [view])
 
     @given(ARRAYS)
     @settings(max_examples=10, deadline=None)
@@ -356,7 +362,7 @@ class TestNonContiguousInputs:
     def test_max_pool_on_view(self, rng):
         base = rng.normal(size=(2, 8, 8, 3))
         view = base.transpose(0, 3, 1, 2)  # NCHW view, non-contiguous
-        assert_fast_matches_reference(lambda a: max_pool2d(a, 2), [view])
+        assert_fast_matches_reference(lambda a: conv.max_pool2d(a, 2), [view])
 
 
 class TestFusedBatchNormGradcheck:
@@ -417,8 +423,8 @@ class TestResidualRelease:
         x = Tensor(rng.normal(size=(64, 10)), requires_grad=True)
         np.exp = spying_exp
         try:
-            with use_fusion(fused):
-                out = log_softmax(x)
+            with _graph(fused):
+                out = F.log_softmax(x)
         finally:
             np.exp = real_exp
         gc.collect()

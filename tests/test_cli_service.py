@@ -194,6 +194,22 @@ class TestServiceVerbs:
         assert "repro: error" in err
         assert "repro master" in err  # points at how to start one
 
+    @pytest.mark.parametrize("content", [
+        '{"version": 1, "jobs": [',  # truncated mid-write
+        "[]",                         # valid JSON, not a state object
+    ], ids=["truncated", "not-an-object"])
+    def test_damaged_state_file_is_clean_error(self, tmp_path, capsys,
+                                               content):
+        state = tmp_path / ".repro-master.json"
+        state.write_text(content)
+        code = main(["master", "--quiet", "--state", str(state),
+                     "--socket", str(tmp_path / "m.sock"),
+                     "--cache-dir", str(tmp_path / "cache")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert str(state) in err
+
     def test_shutdown_stops_master(self, live_master, capsys):
         assert main(["shutdown", "--socket", str(live_master)]) == 0
         assert "master stopping" in capsys.readouterr().out
